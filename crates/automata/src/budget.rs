@@ -20,9 +20,12 @@ pub struct AutomataBudget {
     /// regex size, so this is checked after building (the work to discover a
     /// violation is proportional to the limit, not exponential).
     pub max_nfa_states: Option<usize>,
-    /// Maximum number of DFA states subset construction may materialize.
-    /// Also caps the length of the reachable-subset sequence walked by
-    /// steady-state reduction.
+    /// Maximum number of DFA states construction may materialize. The
+    /// direct builder ([`Dfa::from_window_patterns_checked`](crate::Dfa::from_window_patterns_checked))
+    /// checks its `2^(width+1) - 1` states arithmetically before building;
+    /// subset construction counts subsets as it discovers them. Also caps
+    /// the length of the reachable-subset sequence walked by steady-state
+    /// reduction.
     pub max_dfa_states: Option<usize>,
     /// Wall-clock deadline; long-running loops poll it and abort with
     /// [`AutomataError::DeadlineExpired`].

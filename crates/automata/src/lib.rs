@@ -6,6 +6,12 @@
 //! start-state (steady-state) reduction, and a runnable Moore-machine
 //! predictor.
 //!
+//! The design flow builds its DFA with [`Dfa::from_window_patterns`], a
+//! shift register over the cover's fixed-width patterns, which minimizes to
+//! the same machine as the subset construction at a fraction of the cost.
+//! Thompson's NFA and the subset construction stay as the general path
+//! (arbitrary regexes, [`compile_patterns`]) and as its test oracle.
+//!
 //! # Examples
 //!
 //! Reproducing Figure 1 of the paper end to end — the language "anything
@@ -42,6 +48,7 @@ mod ops;
 mod patterns;
 mod regex;
 mod serial;
+mod window;
 
 pub use budget::{AutomataBudget, AutomataError};
 pub use dfa::Dfa;
@@ -50,6 +57,7 @@ pub use nfa::Nfa;
 pub use patterns::{parse_pattern, parse_pattern_list, pattern_to_string, ParsePatternError};
 pub use regex::Regex;
 pub use serial::{machine_from_table, machine_to_table, ParseMachineError};
+pub use window::MAX_WINDOW_WIDTH;
 
 /// One-call convenience running the whole §4.5–4.7 pipeline: patterns →
 /// regex → NFA → DFA → Hopcroft minimization → start-state reduction.

@@ -177,3 +177,40 @@ proptest! {
         }
     }
 }
+
+/// Strategy for covers over one window: a width of 1..=10 and 1..=6
+/// patterns of exactly that width, as the design flow writes them.
+fn window_cover_strategy() -> impl Strategy<Value = (usize, Vec<Vec<Option<bool>>>)> {
+    (1usize..=10).prop_flat_map(|width| {
+        proptest::collection::vec(
+            proptest::collection::vec(
+                prop_oneof![Just(None), Just(Some(false)), Just(Some(true))],
+                width,
+            ),
+            1..=6,
+        )
+        .prop_map(move |patterns| (width, patterns))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The direct shift-register machine and the Thompson + subset
+    /// construction machine minimize to the same table, before and after
+    /// steady-state reduction.
+    #[test]
+    fn direct_machine_matches_subset_construction((width, patterns) in window_cover_strategy()) {
+        let direct = Dfa::from_window_patterns(width, &patterns);
+        prop_assert_eq!(direct.num_states(), (1usize << (width + 1)) - 1);
+        let lang = Regex::ending_in(patterns.iter().map(|p| Regex::pattern(p)).collect());
+        let subset = Dfa::from_nfa(&Nfa::from_regex(&lang));
+        let (direct_min, subset_min) = (direct.minimized(), subset.minimized());
+        prop_assert_eq!(&direct_min, &subset_min, "patterns {:?}", patterns);
+        prop_assert_eq!(
+            direct_min.steady_state_reduced(),
+            subset_min.steady_state_reduced(),
+            "patterns {:?}", patterns
+        );
+    }
+}

@@ -45,7 +45,10 @@ USAGE:
           The --budget-* flags cap the design pipeline; when a stage
           exceeds its cap the designer degrades gracefully (heuristic
           minimizer, then shorter history, then a saturating counter)
-          and reports what it did. With --no-degrade a blown budget is
+          and reports what it did. --budget-states caps the states of
+          the unminimized machine, 2^(N+1)-1 at history N;
+          --budget-primes caps the implicants found while generating
+          primes. With --no-degrade a blown budget is
           an error instead (exit code 4). --inject-fault arms test
           failpoints, e.g. 'minimize=budget:1,dfa=error'.
           --profile prints a per-stage wall/counter table (stdout with

@@ -17,15 +17,21 @@ use std::time::Instant;
 /// unlimited, making the budgeted flow identical to the plain one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DesignBudget {
-    /// Maximum DFA states subset construction may materialize (also caps
-    /// the steady-state reduction iteration).
+    /// Maximum DFA states before minimization. The designer builds the
+    /// shift-register machine of the cover, which has `2^(N+1) - 1` states
+    /// at history order N, so this is checked arithmetically before the
+    /// machine is built (it also caps the steady-state reduction
+    /// iteration).
     pub max_dfa_states: Option<usize>,
     /// Maximum Thompson NFA states.
     pub max_nfa_states: Option<usize>,
     /// Maximum minterms the logic minimizer may enumerate explicitly.
     pub max_minterms: Option<usize>,
-    /// Maximum prime-implicant cubes alive during Quine–McCluskey merging
-    /// (exact minimizer only).
+    /// Maximum implicants the exact minimizer may find while generating
+    /// primes. Checked first against the seed count (every minterm outside
+    /// the off-set); up to 12 history bits the dense prime table then
+    /// counts every implicant it finds, wider orders count the cubes alive
+    /// in one merge level (exact minimizer only).
     pub max_primes: Option<usize>,
     /// Maximum branch-and-bound nodes in the exact covering step before it
     /// degrades (internally, without error) to greedy selection.

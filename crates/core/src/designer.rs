@@ -306,7 +306,7 @@ impl Designer {
         // §4.5 regular expression building. Cube variable i is the outcome
         // i steps back, so the oldest position of a written pattern is
         // variable order-1.
-        let regex = {
+        let (patterns, regex) = {
             let _stage = obs::span("regex");
             let patterns: Vec<Vec<Option<bool>>> = cover
                 .cubes()
@@ -314,13 +314,14 @@ impl Designer {
                 .map(|cube| (0..order).rev().map(|var| cube.var(var)).collect())
                 .collect();
             obs::counter("regex", "patterns", patterns.len() as u64);
-            if patterns.is_empty() {
+            let regex = if patterns.is_empty() {
                 None
             } else {
                 Some(Regex::ending_in(
                     patterns.iter().map(|p| Regex::pattern(p)).collect(),
                 ))
-            }
+            };
+            (patterns, regex)
         };
 
         // §4.6 FSM creation + Hopcroft, §4.7 start-state reduction.
@@ -331,15 +332,19 @@ impl Designer {
                 (constant.clone(), constant)
             }
             Some(re) => {
+                // Thompson's NFA is kept for its `max_nfa_states` check; the
+                // DFA is built straight from the patterns instead of by
+                // subset construction, and minimizes to the same machine.
                 consult_failpoint("nfa")?;
-                let nfa = {
+                {
                     let _stage = obs::span("nfa");
-                    Nfa::from_regex_checked(re, &automata_budget).map_err(budget_failure("nfa"))?
-                };
+                    Nfa::from_regex_checked(re, &automata_budget).map_err(budget_failure("nfa"))?;
+                }
                 consult_failpoint("dfa")?;
                 let dfa = {
                     let _stage = obs::span("dfa");
-                    Dfa::from_nfa_checked(&nfa, &automata_budget).map_err(budget_failure("dfa"))?
+                    Dfa::from_window_patterns_checked(order, &patterns, &automata_budget)
+                        .map_err(budget_failure("dfa"))?
                 };
                 consult_failpoint("hopcroft")?;
                 let minimized = {

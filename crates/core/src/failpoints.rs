@@ -22,7 +22,8 @@
 //! one test binary. Multi-threaded consumers (the farm's worker pool)
 //! never run pipeline stages on the configuring thread, so a second,
 //! process-wide registry exists: [`configure_global`] /
-//! [`clear_global`] arm failpoints visible from *every* thread. [`fire`]
+//! [`clear_global`] arm failpoints visible from *every* thread, and
+//! [`clear_global_stage`] disarms one stage without touching the others. [`fire`]
 //! consults the thread-local registry first, then the global one; a
 //! counted global failpoint decrements atomically under its lock, so
 //! `count = 1` fires on exactly one worker across the whole process.
@@ -193,6 +194,13 @@ mod enabled {
         with_global(Vec::clear);
     }
 
+    /// Disarms the process-wide failpoint for `stage` only, leaving other
+    /// stages armed — for callers that share the process with other users
+    /// of the global registry (parallel tests, for one).
+    pub fn clear_global_stage(stage: &str) {
+        with_global(|reg| reg.retain(|fp| fp.stage != stage));
+    }
+
     fn consume(reg: &mut [Failpoint], stage: &str) -> Option<FailAction> {
         let fp = reg.iter_mut().find(|fp| fp.stage == stage)?;
         match &mut fp.remaining {
@@ -218,8 +226,8 @@ mod enabled {
 
 #[cfg(feature = "failpoints")]
 pub use enabled::{
-    clear, clear_global, configure, configure_from_spec, configure_from_spec_global,
-    configure_global, fire,
+    clear, clear_global, clear_global_stage, configure, configure_from_spec,
+    configure_from_spec_global, configure_global, fire,
 };
 
 #[cfg(not(feature = "failpoints"))]
@@ -257,6 +265,9 @@ mod disabled {
     /// No-op: the `failpoints` feature is disabled.
     pub fn clear_global() {}
 
+    /// No-op: the `failpoints` feature is disabled.
+    pub fn clear_global_stage(_stage: &str) {}
+
     /// Always `None`: the `failpoints` feature is disabled.
     #[must_use]
     pub fn fire(_stage: &str) -> Option<FailAction> {
@@ -266,8 +277,8 @@ mod disabled {
 
 #[cfg(not(feature = "failpoints"))]
 pub use disabled::{
-    clear, clear_global, configure, configure_from_spec, configure_from_spec_global,
-    configure_global, fire,
+    clear, clear_global, clear_global_stage, configure, configure_from_spec,
+    configure_from_spec_global, configure_global, fire,
 };
 
 #[cfg(all(test, feature = "failpoints"))]
@@ -332,7 +343,9 @@ mod tests {
         assert_eq!(seen, Some(FailAction::Error));
         assert_eq!(fire("global-smoke"), Some(FailAction::Error));
         assert_eq!(fire("global-smoke"), None);
-        clear_global();
+        // Only this test's stage: a full clear_global would disarm the
+        // stage a concurrently running test armed and has not fired yet.
+        clear_global_stage("global-smoke");
     }
 
     #[test]
@@ -343,7 +356,7 @@ mod tests {
             .expect("worker thread");
         assert_eq!(seen, Some(FailAction::BudgetExceeded));
         assert_eq!(fire("global-spec-smoke"), None);
-        clear_global();
+        clear_global_stage("global-spec-smoke");
     }
 
     #[test]

@@ -49,7 +49,9 @@
 //! record count ([`CompactPolicy::keep`], newest win) and a generation
 //! TTL ([`CompactPolicy::max_generations`]). The append handle is
 //! reopened on the rewritten file, so compaction is safe on a live
-//! store between appends.
+//! store between appends. It streams the log twice (index, then copy)
+//! and never holds more than one decoded design, so its memory follows
+//! the record count rather than the log's size.
 
 use crate::fnv::Fnv1a;
 use crate::snapshot::{
@@ -58,7 +60,7 @@ use crate::snapshot::{
 use fsmgen::Design;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufReader, BufWriter, Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -297,6 +299,58 @@ struct Replay {
     max_generation: u32,
 }
 
+/// One framed log record as read back from a log.
+struct Frame {
+    fingerprint: u64,
+    verify: u64,
+    generation: u32,
+    payload: Vec<u8>,
+    /// `false` when the stored checksum does not match the frame.
+    intact: bool,
+}
+
+impl Frame {
+    /// Bytes the frame occupies in the log.
+    fn framed_len(&self) -> usize {
+        FRAME_PREFIX_LEN + self.payload.len() + 8
+    }
+
+    /// Reads the next frame from `log`, or `None` where the log ends:
+    /// cleanly, or in a torn tail (bytes running out mid-prefix or
+    /// mid-payload, which a corrupted length looks like too).
+    fn read(log: &mut impl Read) -> std::io::Result<Option<Frame>> {
+        let mut prefix = [0u8; FRAME_PREFIX_LEN];
+        if let Err(e) = log.read_exact(&mut prefix) {
+            return match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => Ok(None),
+                _ => Err(e),
+            };
+        }
+        let payload_len = u64::from(read_u32(&prefix, 20));
+        // `take` allocates only as bytes arrive, so a corrupted length
+        // cannot ask for more memory than the log holds.
+        let mut payload = Vec::new();
+        log.take(payload_len + 8).read_to_end(&mut payload)?;
+        if payload.len() as u64 != payload_len + 8 {
+            return Ok(None);
+        }
+        let stored = read_u64(&payload, payload_len as usize);
+        payload.truncate(payload_len as usize);
+        let (fingerprint, verify, generation) = (
+            read_u64(&prefix, 0),
+            read_u64(&prefix, 8),
+            read_u32(&prefix, 16),
+        );
+        Ok(Some(Frame {
+            intact: stored == store_checksum(fingerprint, verify, generation, &payload),
+            fingerprint,
+            verify,
+            generation,
+            payload,
+        }))
+    }
+}
+
 /// Replays log `bytes` (which must carry a valid header) front to back.
 /// Framed-but-corrupt records are skipped and counted; the first
 /// out-of-bytes condition ends the replay with `good_end` marking the
@@ -313,40 +367,20 @@ fn replay_log(bytes: &[u8]) -> Result<Replay, StoreError> {
         good_end: STORE_HEADER_LEN,
         max_generation: 0,
     };
-    let mut pos = STORE_HEADER_LEN;
-    while pos < bytes.len() {
-        if bytes.len() - pos < FRAME_PREFIX_LEN {
-            break; // torn mid-prefix
-        }
-        let fingerprint = read_u64(bytes, pos);
-        let verify = read_u64(bytes, pos + 8);
-        let generation = read_u32(bytes, pos + 16);
-        let payload_len = read_u32(bytes, pos + 20) as usize;
-        let Some(record_end) = pos
-            .checked_add(FRAME_PREFIX_LEN)
-            .and_then(|p| p.checked_add(payload_len))
-            .and_then(|p| p.checked_add(8))
-        else {
-            break; // absurd length: unrecoverable past this point
-        };
-        if record_end > bytes.len() {
-            break; // torn mid-payload (or a corrupted length — same cut)
-        }
-        let payload = &bytes[pos + FRAME_PREFIX_LEN..record_end - 8];
-        let stored = read_u64(bytes, record_end - 8);
-        pos = record_end;
-        replay.good_end = pos;
-        if stored != store_checksum(fingerprint, verify, generation, payload) {
+    let mut log = &bytes[STORE_HEADER_LEN..];
+    while let Some(frame) = Frame::read(&mut log)? {
+        replay.good_end += frame.framed_len();
+        if !frame.intact {
             replay.skipped += 1;
             continue;
         }
-        match decode_design(payload) {
+        match decode_design(&frame.payload) {
             Ok(design) => {
-                replay.max_generation = replay.max_generation.max(generation);
+                replay.max_generation = replay.max_generation.max(frame.generation);
                 replay.records.push(StoreRecord {
-                    fingerprint,
-                    verify,
-                    generation,
+                    fingerprint: frame.fingerprint,
+                    verify: frame.verify,
+                    generation: frame.generation,
                     design: Arc::new(design),
                 });
             }
@@ -359,24 +393,39 @@ fn replay_log(bytes: &[u8]) -> Result<Replay, StoreError> {
 /// Writes a complete log (header + `records` in order) atomically: a
 /// sibling temporary file is fsync'd and renamed over `path`.
 fn write_log_atomic(path: &Path, records: &[StoreRecord]) -> Result<(), StoreError> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&store_header());
-    for rec in records {
-        let payload = encode_design(&rec.design);
-        bytes.extend_from_slice(&encode_record(
-            rec.fingerprint,
-            rec.verify,
-            rec.generation,
-            &payload,
-        ));
-    }
+    write_frames_atomic(
+        path,
+        records.iter().map(|rec| {
+            Ok(encode_record(
+                rec.fingerprint,
+                rec.verify,
+                rec.generation,
+                &encode_design(&rec.design),
+            ))
+        }),
+    )
+}
+
+/// Writes a log header and the encoded `frames` to a sibling temporary
+/// file, fsyncs it, renames it over `path` and fsyncs the directory so
+/// the rename itself survives a crash.
+fn write_frames_atomic(
+    path: &Path,
+    frames: impl Iterator<Item = Result<Vec<u8>, StoreError>>,
+) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
     {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
+        let mut f = BufWriter::new(fs::File::create(&tmp)?);
+        f.write_all(&store_header())?;
+        for frame in frames {
+            f.write_all(&frame?)?;
+        }
+        f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     }
     fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        fs::File::open(dir)?.sync_all()?;
+    }
     Ok(())
 }
 
@@ -562,12 +611,30 @@ impl DesignStore {
     /// happened, so a crash mid-compaction never loses records.
     pub fn compact(&mut self, policy: &CompactPolicy) -> Result<CompactReport, StoreError> {
         self.flush()?;
-        let bytes = fs::read(&self.path)?;
-        if bytes.len() < STORE_HEADER_LEN || bytes[..8] != STORE_MAGIC {
-            return Err(StoreError::BadMagic);
+        // Two streaming passes, so memory follows the record count, not
+        // the log's size: the first indexes every record that replays
+        // cleanly (decoding each design only to validate it), the second
+        // copies the kept ones.
+        let open_log = || -> Result<BufReader<fs::File>, StoreError> {
+            let mut log = BufReader::new(fs::File::open(&self.path)?);
+            let mut header = [0u8; STORE_HEADER_LEN];
+            match log.read_exact(&mut header) {
+                Ok(()) if header[..8] == STORE_MAGIC => {}
+                Err(e) if e.kind() != std::io::ErrorKind::UnexpectedEof => return Err(e.into()),
+                _ => return Err(StoreError::BadMagic),
+            }
+            match read_u32(&header, 8) {
+                STORE_VERSION => Ok(log),
+                version => Err(StoreError::UnsupportedVersion(version)),
+            }
+        };
+        let mut log = open_log()?;
+        // (fingerprint, generation) per record, `None` for a corrupt one.
+        let mut records: Vec<Option<(u64, u32)>> = Vec::new();
+        while let Some(frame) = Frame::read(&mut log)? {
+            let clean = frame.intact && decode_design(&frame.payload).is_ok();
+            records.push(clean.then_some((frame.fingerprint, frame.generation)));
         }
-        let replay = replay_log(&bytes)?;
-        let total = replay.records.len() + replay.skipped;
 
         // Newest record per fingerprint wins; then the generation TTL;
         // then the size budget (newest kept).
@@ -575,29 +642,49 @@ impl DesignStore {
             .max_generations
             .map(|ttl| self.generation.saturating_sub(ttl));
         let mut seen = std::collections::HashSet::new();
-        let mut kept_rev: Vec<StoreRecord> = Vec::new();
-        for rec in replay.records.into_iter().rev() {
-            if !seen.insert(rec.fingerprint) {
+        let mut keep = vec![false; records.len()];
+        let mut kept = 0;
+        for (i, record) in records.iter().enumerate().rev() {
+            let Some((fingerprint, generation)) = *record else {
+                continue;
+            };
+            if policy.keep.is_some_and(|limit| kept >= limit) {
+                break;
+            }
+            if !seen.insert(fingerprint) {
                 continue;
             }
-            if min_generation.is_some_and(|min| rec.generation < min) {
+            if min_generation.is_some_and(|min| generation < min) {
                 continue;
             }
-            kept_rev.push(rec);
+            keep[i] = true;
+            kept += 1;
         }
-        if let Some(keep) = policy.keep {
-            kept_rev.truncate(keep);
-        }
-        kept_rev.reverse();
-        let kept = kept_rev;
 
-        write_log_atomic(&self.path, &kept)?;
+        let mut log = open_log()?;
+        let mut keep = keep.into_iter();
+        let frames = std::iter::from_fn(|| loop {
+            match Frame::read(&mut log) {
+                Err(e) => return Some(Err(e.into())),
+                Ok(None) => return None,
+                Ok(Some(frame)) if keep.next() == Some(true) => {
+                    return Some(Ok(encode_record(
+                        frame.fingerprint,
+                        frame.verify,
+                        frame.generation,
+                        &frame.payload,
+                    )));
+                }
+                Ok(Some(_)) => {}
+            }
+        });
+        write_frames_atomic(&self.path, frames)?;
         self.file = fs::OpenOptions::new().append(true).open(&self.path)?;
         self.pending = 0;
 
         let report = CompactReport {
-            kept: kept.len(),
-            dropped: total - kept.len(),
+            kept,
+            dropped: records.len() - kept,
         };
         self.stats.compacted += report.dropped as u64;
         Ok(report)

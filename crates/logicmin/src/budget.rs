@@ -24,8 +24,12 @@ pub struct MinimizeBudget {
     /// i.e. `2^width - |off|`); for the heuristic it bounds the explicit
     /// on/off sets.
     pub max_minterms: Option<usize>,
-    /// Maximum number of cubes alive in the prime-implicant computation
-    /// (generated primes plus the current merge frontier).
+    /// Maximum number of implicants the prime-implicant computation may
+    /// hold. Checked first against the seed count (`2^width - |off|`); the
+    /// dense prime table (up to
+    /// [`DENSE_TABLE_MAX_WIDTH`](crate::qm::DENSE_TABLE_MAX_WIDTH)
+    /// variables) then counts every implicant it finds, and the merge loop
+    /// counts generated primes plus the current merge frontier.
     pub max_primes: Option<usize>,
     /// Maximum number of branch-and-bound nodes the exact covering step may
     /// visit (its analogue of Petrick product terms) before falling back to

@@ -28,9 +28,19 @@ pub fn prime_implicants(spec: &FunctionSpec) -> Vec<Cube> {
     }
 }
 
+/// Widest spec whose primes come from the dense ternary table: `3^12` is
+/// 531,441 one-byte entries. Wider specs use the merge loop.
+pub const DENSE_TABLE_MAX_WIDTH: usize = 12;
+
 /// [`prime_implicants`] with a resource budget: the minterm count is checked
-/// arithmetically *before* the `O(2^width)` seed enumeration, and the merge
-/// loop aborts as soon as it grows past `max_primes` or the deadline.
+/// arithmetically *before* the `O(2^width)` seed enumeration, and prime
+/// generation aborts as soon as it has found more than `max_primes`
+/// implicants, or when the deadline passes.
+///
+/// Up to [`DENSE_TABLE_MAX_WIDTH`] variables the primes come from one pass
+/// over a dense table of all `3^width` cubes; wider specs use the
+/// level-by-level merge loop of [`prime_implicants_merged_checked`]. Both
+/// return the same sorted list.
 ///
 /// # Errors
 ///
@@ -39,11 +49,22 @@ pub fn prime_implicants_checked(
     spec: &FunctionSpec,
     budget: &MinimizeBudget,
 ) -> Result<Vec<Cube>, BudgetError> {
-    let width = spec.width();
-    // Every minterm outside the off-set seeds the merge table (on plus
-    // explicit and implicit don't-cares), so the seed count is known without
-    // enumerating anything.
-    let seeds = ((1u64 << width) - spec.off_set().len() as u64) as usize;
+    let seeds = check_seed_budget(spec, budget)?;
+    let primes = if spec.width() <= DENSE_TABLE_MAX_WIDTH {
+        dense_table_primes(spec, budget)?
+    } else {
+        prime_implicants_merged_checked(spec, budget)?
+    };
+    fsmgen_obs::counter("minimize", "qm_seed_minterms", seeds as u64);
+    fsmgen_obs::counter("minimize", "qm_primes", primes.len() as u64);
+    Ok(primes)
+}
+
+/// Checks `max_minterms` and `max_primes` against the seed count (every
+/// minterm outside the off-set) and returns it. The count is known without
+/// enumerating anything.
+fn check_seed_budget(spec: &FunctionSpec, budget: &MinimizeBudget) -> Result<usize, BudgetError> {
+    let seeds = ((1u64 << spec.width()) - spec.off_set().len() as u64) as usize;
     if let Some(limit) = budget.max_minterms {
         if seeds > limit {
             return Err(BudgetError::Minterms {
@@ -61,6 +82,143 @@ pub fn prime_implicants_checked(
         }
     }
     budget.check_deadline("prime seeding")?;
+    Ok(seeds)
+}
+
+/// Table entry flag: the cube covers no off minterm.
+const IMPLICANT: u8 = 1;
+/// Table entry flag: the cube covers at least one on minterm.
+const HAS_ON: u8 = 2;
+/// Table entry flag: dropping one of the cube's literals gives an implicant.
+const EXPANDABLE: u8 = 4;
+/// Table entries between deadline polls.
+const TABLE_POLL_ENTRIES: usize = 1 << 12;
+
+/// Prime generation over a dense table of all `3^width` cubes. Digit `i` of
+/// a cube's index is variable `i`: 0, 1, or 2 for a don't-care. Counting
+/// up, both halves of a cube at its lowest don't-care come before it, so
+/// one pass decides every implicant; each implicant then marks the cubes
+/// it expands by one literal as not prime. The primes are the implicants
+/// left unmarked that cover an on minterm.
+fn dense_table_primes(
+    spec: &FunctionSpec,
+    budget: &MinimizeBudget,
+) -> Result<Vec<Cube>, BudgetError> {
+    let width = spec.width();
+    debug_assert!(width <= DENSE_TABLE_MAX_WIDTH);
+    let mut pow3 = [1usize; DENSE_TABLE_MAX_WIDTH + 1];
+    for i in 1..=width {
+        pow3[i] = pow3[i - 1] * 3;
+    }
+    let words = (1usize << width).div_ceil(64);
+    let bitset = |set: &BTreeSet<u32>| {
+        let mut bits = vec![0u64; words];
+        for &m in set {
+            bits[m as usize / 64] |= 1 << (m % 64);
+        }
+        bits
+    };
+    let (on, off) = (bitset(spec.on_set()), bitset(spec.off_set()));
+
+    let mut table = vec![0u8; pow3[width]];
+    let mut implicants = 0usize;
+    // The index's digits as bitmasks: `ones` holds the 1 digits, `free`
+    // the don't-cares.
+    let (mut ones, mut free) = (0u32, 0u32);
+    for t in 0..table.len() {
+        if t % TABLE_POLL_ENTRIES == 0 {
+            budget.check_deadline("prime table")?;
+        }
+        let entry = if free == 0 {
+            let (word, bit) = (ones as usize / 64, 1u64 << (ones % 64));
+            if off[word] & bit != 0 {
+                0
+            } else if on[word] & bit != 0 {
+                IMPLICANT | HAS_ON
+            } else {
+                IMPLICANT
+            }
+        } else {
+            let step = pow3[free.trailing_zeros() as usize];
+            let (zero, one) = (table[t - 2 * step], table[t - step]);
+            if zero & one & IMPLICANT == 0 {
+                0
+            } else {
+                IMPLICANT | ((zero | one) & HAS_ON)
+            }
+        };
+        if entry & IMPLICANT != 0 {
+            implicants += 1;
+            if let Some(limit) = budget.max_primes {
+                if implicants > limit {
+                    return Err(BudgetError::Primes {
+                        generated: implicants,
+                        limit,
+                    });
+                }
+            }
+            let mut rest = free;
+            while rest != 0 {
+                let step = pow3[rest.trailing_zeros() as usize];
+                table[t - step] |= EXPANDABLE;
+                table[t - 2 * step] |= EXPANDABLE;
+                rest &= rest - 1;
+            }
+        }
+        table[t] = entry;
+        // Count up in base 3: a don't-care digit wraps to 0 and carries.
+        let mut bit = 1u32;
+        while free & bit != 0 {
+            free &= !bit;
+            bit <<= 1;
+        }
+        if ones & bit != 0 {
+            ones &= !bit;
+            free |= bit;
+        } else {
+            ones |= bit;
+        }
+    }
+
+    let mut primes: Vec<Cube> = table
+        .iter()
+        .enumerate()
+        .filter(|&(_, &entry)| entry == IMPLICANT | HAS_ON)
+        .map(|(mut t, _)| {
+            let (mut mask, mut bits) = (0u32, 0u32);
+            for var in 0..width {
+                match t % 3 {
+                    0 => mask |= 1 << var,
+                    1 => {
+                        mask |= 1 << var;
+                        bits |= 1 << var;
+                    }
+                    _ => {}
+                }
+                t /= 3;
+            }
+            Cube::new(mask, bits)
+        })
+        .collect();
+    primes.sort_unstable();
+    Ok(primes)
+}
+
+/// The classic Quine–McCluskey merge loop: seeds every on and don't-care
+/// minterm and merges `BTreeSet<Cube>` groups level by level. It runs at
+/// every width and serves as the reference for the dense table; here
+/// `max_primes` bounds the cubes alive in any one level (primes so far plus
+/// the current level).
+///
+/// # Errors
+///
+/// Returns a [`BudgetError`] naming the violated limit.
+pub fn prime_implicants_merged_checked(
+    spec: &FunctionSpec,
+    budget: &MinimizeBudget,
+) -> Result<Vec<Cube>, BudgetError> {
+    check_seed_budget(spec, budget)?;
+    let width = spec.width();
 
     // Seed with every on and explicit-or-implicit don't-care minterm. Using
     // implicit don't-cares is required for correctness of QM merging.
@@ -117,13 +275,10 @@ pub fn prime_implicants_checked(
 
     // Keep only primes that cover at least one on minterm: primes covering
     // purely don't-care territory are useless for the cover.
-    let primes: Vec<Cube> = primes
+    Ok(primes
         .into_iter()
         .filter(|p| spec.on_set().iter().any(|&m| p.covers_minterm(m)))
-        .collect();
-    fsmgen_obs::counter("minimize", "qm_seed_minterms", seeds as u64);
-    fsmgen_obs::counter("minimize", "qm_primes", primes.len() as u64);
-    Ok(primes)
+        .collect())
 }
 
 /// Minimizes `spec` exactly: returns a minimum-cube (then minimum-literal)

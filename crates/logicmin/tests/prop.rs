@@ -4,7 +4,9 @@
 //! one-cube-per-minterm cover.
 
 use fsmgen_logicmin::{
-    minimize, qm::prime_implicants, verify_cover, Algorithm, Cover, Cube, FunctionSpec,
+    minimize,
+    qm::{prime_implicants, prime_implicants_merged_checked},
+    verify_cover, Algorithm, Cover, Cube, FunctionSpec, MinimizeBudget,
 };
 use proptest::prelude::*;
 
@@ -23,6 +25,77 @@ fn spec_strategy() -> impl Strategy<Value = FunctionSpec> {
             FunctionSpec::from_sets(width, on, off).expect("disjoint by construction")
         })
     })
+}
+
+/// Strategy: a width of 1..=10 and a per-minterm classification drawn
+/// with one of three don't-care densities (none-ish, a third, most), so
+/// both dense Markov-style specs and sparse ones come up.
+fn wide_spec_strategy() -> impl Strategy<Value = FunctionSpec> {
+    (1usize..=10, 0u8..3).prop_flat_map(|(width, density)| {
+        proptest::collection::vec(0u8..8, 1 << width).prop_map(move |draws| {
+            // Draws below `dc` are don't-cares; the rest split on parity.
+            let dc = [1, 3, 7][usize::from(density)];
+            let kind = |d: u8| match d {
+                d if d < dc => 2,
+                d => d % 2,
+            };
+            let on = draws
+                .iter()
+                .enumerate()
+                .filter_map(|(m, &d)| (kind(d) == 1).then_some(m as u32));
+            let off = draws
+                .iter()
+                .enumerate()
+                .filter_map(|(m, &d)| (kind(d) == 0).then_some(m as u32));
+            FunctionSpec::from_sets(width, on, off).expect("disjoint by construction")
+        })
+    })
+}
+
+/// The merge-loop primes of `spec`, the reference for the dense table.
+fn merged_primes(spec: &FunctionSpec) -> Vec<Cube> {
+    prime_implicants_merged_checked(spec, &MinimizeBudget::unlimited())
+        .expect("unlimited budgets never abort")
+}
+
+/// A fixed pseudo-random spec: `specified` of every 8 minterms are on or
+/// off (by an LCG), the rest don't-cares.
+fn lcg_spec(width: usize, specified: u32, seed: u32) -> FunctionSpec {
+    let mut state = seed;
+    let (mut on, mut off) = (Vec::new(), Vec::new());
+    for m in 0..1u32 << width {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        let draw = state >> 24;
+        if draw % 8 < specified {
+            if draw & 0x80 != 0 {
+                on.push(m);
+            } else {
+                off.push(m);
+            }
+        }
+    }
+    FunctionSpec::from_sets(width, on, off).expect("disjoint by construction")
+}
+
+#[test]
+fn dense_table_matches_merge_loop_at_widths_11_and_12() {
+    for (width, specified, seed) in [(11, 7, 1), (11, 5, 2), (12, 7, 3)] {
+        let spec = lcg_spec(width, specified, seed);
+        let primes = prime_implicants(&spec);
+        assert!(!primes.is_empty());
+        assert_eq!(primes, merged_primes(&spec), "width {width} seed {seed}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The dense ternary table finds exactly the merge loop's primes, in
+    /// the same sorted order.
+    #[test]
+    fn dense_table_primes_match_merge_loop(spec in wide_spec_strategy()) {
+        prop_assert_eq!(prime_implicants(&spec), merged_primes(&spec));
+    }
 }
 
 proptest! {
