@@ -129,6 +129,9 @@ impl ServeClient {
         codec: Codec,
     ) -> Result<ServeClient, ClientError> {
         let mut stream = TcpStream::connect(addr)?;
+        // One request per write: Nagle would hold it for the ACK of the
+        // previous segment.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         if codec == Codec::BinaryV2 {

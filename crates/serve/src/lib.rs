@@ -50,7 +50,9 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `poll(2)` in `sys` is the one exception, allowed there alone.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod client;
@@ -60,6 +62,7 @@ pub mod predictor;
 pub mod proto;
 pub mod server;
 mod shard;
+mod sys;
 pub mod watch;
 
 /// The shared JSON reader (re-exported from `fsmgen-obs`, where it moved

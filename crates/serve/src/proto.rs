@@ -198,7 +198,9 @@ pub fn read_frame_after_prefix(
     Ok(payload)
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) with a single write, so
+/// the frame never leaves as a small prefix segment followed by the
+/// payload.
 ///
 /// # Errors
 ///
@@ -206,8 +208,10 @@ pub fn read_frame_after_prefix(
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 

@@ -5,8 +5,9 @@
 //!   accept loop — one blocking handler thread per peer. Kept as the
 //!   bench baseline and for the lowest-latency single-client paths.
 //! - **Sharded event-driven** (`shards >= 1`): N shard threads, each a
-//!   non-blocking poll loop multiplexing many connections. The accept
-//!   loop only dispatches sockets round-robin; each shard reads as many
+//!   non-blocking event loop that blocks in `poll(2)` and multiplexes
+//!   many connections. The accept loop only dispatches sockets
+//!   round-robin and wakes the target shard; each shard reads as many
 //!   *pipelined* frames as a connection has sent, answers them in
 //!   request order, and batches the writes. Design requests route to a
 //!   fingerprint-partitioned [`ShardedFarm`], so the old single cache
@@ -23,13 +24,13 @@
 //! The process has no dependency-free way to trap signals, so graceful
 //! shutdown is driven two equivalent ways: a [`Request::Shutdown`]
 //! protocol message, or [`ServerHandle::shutdown`] from the embedding
-//! process. Both set a flag and nudge the blocked `accept()` with a
-//! loopback connection.
+//! process. Both set a flag, wake every shard, and nudge the blocked
+//! `accept()` with a loopback connection.
 
 use crate::metrics::ServeMetrics;
 use crate::predictor::{LivePredictor, RedesignConfig};
 use crate::proto::{self, Codec, ProtoError, Request, Response, DEFAULT_MAX_FRAME};
-use crate::shard;
+use crate::shard::{self, Waker};
 use fsmgen::{failpoints, Designer, MAX_ORDER};
 use fsmgen_automata::machine_to_table;
 use fsmgen_farm::{CompactPolicy, DesignJob, FarmConfig, ShardedFarm, StoreConfig};
@@ -122,6 +123,8 @@ pub(crate) struct Shared {
     pub(crate) in_flight: AtomicUsize,
     /// The hot-swappable live predictor (None without `redesign`).
     pub(crate) live: Option<LivePredictor>,
+    /// One per shard (none in the threaded architecture).
+    pub(crate) wakers: Vec<Waker>,
 }
 
 /// A bound, not-yet-running server. [`Server::run`] blocks until
@@ -156,6 +159,9 @@ impl ServerHandle {
 
 pub(crate) fn signal_shutdown(shared: &Shared, addr: SocketAddr) {
     if !shared.shutting_down.swap(true, Ordering::SeqCst) {
+        for waker in &shared.wakers {
+            waker.wake();
+        }
         // Unblock the accept loop. A failed nudge is fine: the loop also
         // notices the flag on its next natural wakeup.
         let _nudge = TcpStream::connect(addr);
@@ -183,7 +189,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Only the TCP bind can fail.
+    /// The TCP bind, or creating a shard's wake-up socket pair.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -210,6 +216,9 @@ impl Server {
             None => None,
         };
         let metrics = ServeMetrics::with_shards(config.shards);
+        let wakers = (0..config.shards)
+            .map(|_| Waker::new())
+            .collect::<io::Result<Vec<_>>>()?;
         Ok(Server {
             listener,
             local_addr,
@@ -221,6 +230,7 @@ impl Server {
                 active_conns: AtomicUsize::new(0),
                 in_flight: AtomicUsize::new(0),
                 live,
+                wakers,
             }),
         })
     }
@@ -275,9 +285,20 @@ impl Server {
             shard_txs.push(tx);
             let shared = Arc::clone(&self.shared);
             let addr = self.local_addr;
-            shard_threads.push(std::thread::spawn(move || {
-                shard::run_shard(&shared, index, &rx, addr);
-            }));
+            let spawned = std::thread::Builder::new()
+                .name(format!("serve-shard-{index}"))
+                .spawn(move || shard::run_shard(&shared, index, &rx, addr));
+            match spawned {
+                Ok(thread) => shard_threads.push(thread),
+                Err(err) => {
+                    // Stop the shards already running before failing.
+                    signal_shutdown(&self.shared, self.local_addr);
+                    for thread in shard_threads {
+                        let _joined = thread.join();
+                    }
+                    return Err(err);
+                }
+            }
         }
         let mut next_shard = 0usize;
         loop {
@@ -289,6 +310,9 @@ impl Server {
             if self.shared.shutting_down.load(Ordering::SeqCst) {
                 break;
             }
+            // Replies go out as soon as they are written: with Nagle on,
+            // a reply could wait out the peer's delayed ACK (~40 ms).
+            let _best_effort = stream.set_nodelay(true);
             let admitted = self.shared.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
             if admitted > self.shared.config.max_connections {
                 self.shared.active_conns.fetch_sub(1, Ordering::SeqCst);
@@ -316,6 +340,8 @@ impl Server {
                 next_shard = next_shard.wrapping_add(1);
                 if shard_txs[target].send(stream).is_err() {
                     self.shared.active_conns.fetch_sub(1, Ordering::SeqCst);
+                } else {
+                    self.shared.wakers[target].wake();
                 }
             }
         }

@@ -1,15 +1,25 @@
-//! One shard of the event-driven server: a non-blocking poll loop
+//! One shard of the event-driven server: a non-blocking event loop
 //! multiplexing many connections on a single thread.
 //!
-//! The accept loop hands sockets over an mpsc channel; the shard owns
-//! them outright from then on. Each sweep flushes pending writes, reads
-//! whatever every connection has sent, parses **all** complete frames
-//! (pipelining: a client may send many requests before reading a single
-//! response), answers them in request order into one output buffer, and
-//! writes that buffer back in bulk. A connection that makes no progress
-//! for the configured read timeout is closed with a `protocol_error`
-//! without disturbing the shard's other connections — the slow-loris
-//! guard, event-loop edition.
+//! The accept loop hands sockets over an mpsc channel and then writes a
+//! byte to the shard's [`Waker`]; the shard owns the sockets outright
+//! from then on. Between sweeps the shard blocks in `poll(2)` (see
+//! [`crate::sys`]) on its waker and every connection: each open
+//! connection waits for input, and one with unsent replies also waits
+//! for the socket to take them. A sweep then visits only the
+//! connections that reported events, still hold unsent output, or are
+//! past their deadline, so neither a wake-up nor idling costs work per
+//! idle connection.
+//!
+//! A visited connection is flushed, read, has **all** of its complete
+//! frames parsed (pipelining: a client may send many requests before
+//! reading a single response) and answered in request order into one
+//! output buffer, which is written back in bulk. The wait's timeout is
+//! the earliest progress deadline, so a connection that makes no
+//! progress for the configured read timeout is closed with a
+//! `protocol_error` even while the shard is blocked, without disturbing
+//! the shard's other connections — the slow-loris guard, event-loop
+//! edition.
 //!
 //! Codec negotiation is in-buffer: the first four bytes either spell
 //! the binary magic (then four more carry the version) or are a JSON
@@ -19,19 +29,52 @@
 
 use crate::proto::{self, Codec, Request, Response};
 use crate::server::{handle_request, signal_shutdown, Handled, Shared};
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use fsmgen::failpoints;
 use fsmgen_obs as obs;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// How long the loop sleeps when a full sweep moved no bytes.
-const IDLE_SLEEP: Duration = Duration::from_micros(300);
-
 /// Per-sweep read chunk.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Longest readiness wait. Every event a shard must handle arrives on a
+/// socket or its waker, so this is only a backstop for an idle shard.
+const MAX_WAIT: Duration = Duration::from_secs(1);
+
+/// Wakes a shard blocked in its readiness wait: the accept loop wakes
+/// it after handing over a socket, shutdown wakes every shard. A
+/// connected socket pair, so it needs no unsafe code.
+pub(crate) struct Waker {
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl Waker {
+    pub(crate) fn new() -> io::Result<Waker> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker { tx, rx })
+    }
+
+    /// Makes the shard's next (or current) wait return. A full buffer
+    /// means a wake-up is already pending, so a failed write is fine.
+    pub(crate) fn wake(&self) {
+        let _pending = (&self.tx).write(&[1]);
+    }
+
+    /// Consumes pending wake-ups, so the next wait blocks again.
+    fn clear(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+    }
+}
 
 /// One multiplexed connection.
 struct Conn {
@@ -50,6 +93,8 @@ struct Conn {
     closing: bool,
     /// The peer closed its half; parse what is buffered, then close.
     peer_eof: bool,
+    /// The last wait reported events on the socket (or it is new).
+    ready: bool,
 }
 
 impl Conn {
@@ -64,7 +109,13 @@ impl Conn {
             last_progress: Instant::now(),
             closing: false,
             peer_eof: false,
+            ready: true,
         }
+    }
+
+    /// Encoded responses the socket has not taken yet.
+    fn unsent(&self) -> bool {
+        self.sent < self.outbuf.len()
     }
 
     /// Unparsed buffered bytes.
@@ -156,50 +207,48 @@ fn parse_frame(conn: &mut Conn, max_frame: usize) -> Parsed {
     Parsed::Frame(payload)
 }
 
-/// Flushes as much of `conn.outbuf` as the socket will take right now.
-/// Returns bytes written, or `None` when the connection is dead.
-fn flush_writes(conn: &mut Conn) -> Option<usize> {
-    let mut wrote = 0;
+/// Flushes as much of `conn.outbuf` as the socket will take right now,
+/// stamping progress if any byte left. Returns false when the
+/// connection is dead.
+fn flush_writes(conn: &mut Conn) -> bool {
     while conn.sent < conn.outbuf.len() {
         match conn.stream.write(&conn.outbuf[conn.sent..]) {
-            Ok(0) => return None,
+            Ok(0) => return false,
             Ok(n) => {
                 conn.sent += n;
-                wrote += n;
+                conn.last_progress = Instant::now();
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return None,
+            Err(_) => return false,
         }
     }
     if conn.sent == conn.outbuf.len() && conn.sent > 0 {
         conn.outbuf.clear();
         conn.sent = 0;
     }
-    Some(wrote)
+    true
 }
 
-/// Reads whatever the socket has ready. Returns bytes read, or `None`
-/// when the connection errored out.
-fn drain_reads(conn: &mut Conn) -> Option<usize> {
-    let mut read = 0;
+/// Reads whatever the socket has ready, stamping progress if any byte
+/// arrived. Returns false when the connection errored out.
+fn drain_reads(conn: &mut Conn) -> bool {
     let mut chunk = [0u8; READ_CHUNK];
     loop {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 conn.peer_eof = true;
-                break;
+                return true;
             }
             Ok(n) => {
                 conn.inbuf.extend_from_slice(&chunk[..n]);
-                read += n;
+                conn.last_progress = Instant::now();
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return None,
+            Err(_) => return false,
         }
     }
-    Some(read)
 }
 
 /// Parses and answers every complete frame buffered on `conn`. Returns
@@ -298,8 +347,97 @@ fn register(shared: &Arc<Shared>, index: usize, stream: TcpStream) -> Option<Con
     Some(Conn::new(stream))
 }
 
+/// Flushes, reads, answers and flushes again one connection, then
+/// applies the close and timeout rules. Returns false once the
+/// connection is finished and should be dropped.
+fn service_conn(
+    shared: &Arc<Shared>,
+    index: usize,
+    addr: SocketAddr,
+    conn: &mut Conn,
+    timeout: Duration,
+) -> bool {
+    if !flush_writes(conn) {
+        return false;
+    }
+    if !conn.closing {
+        if !drain_reads(conn) {
+            return false;
+        }
+        service_frames(shared, index, addr, conn);
+        if conn.peer_eof {
+            // Half-closed peers may still want queued responses; close
+            // once they are out.
+            conn.closing = true;
+        }
+        if !flush_writes(conn) {
+            return false;
+        }
+    }
+    if conn.closing {
+        return conn.unsent();
+    }
+    if conn.last_progress.elapsed() > timeout {
+        // The slow-loris guard: a stalled connection is told off and
+        // closed; the shard's other connections are untouched.
+        shared.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+        obs::counter("serve", "read_timeout", 1);
+        conn.push_response(&Response::ProtocolError {
+            error: "read timed out".into(),
+        });
+        conn.closing = true;
+        let _best_effort = flush_writes(conn);
+        return false;
+    }
+    true
+}
+
+/// Blocks until the waker or a connection is ready, or the earliest
+/// progress deadline passes, then marks the ready connections. Only
+/// connections still reading wait for input (and carry a deadline);
+/// only those with unsent output wait for the socket to take it, since
+/// an always-writable socket would end every wait at once.
+fn wait_for_events(waker: &Waker, conns: &mut [Conn], fds: &mut Vec<PollFd>, timeout: Duration) {
+    let now = Instant::now();
+    let mut wait = MAX_WAIT;
+    fds.clear();
+    fds.push(PollFd::new(waker.rx.as_raw_fd(), POLLIN));
+    for conn in conns.iter() {
+        let mut events = 0;
+        if !conn.closing {
+            events |= POLLIN;
+            if let Some(deadline) = conn.last_progress.checked_add(timeout) {
+                wait = wait.min(deadline.saturating_duration_since(now));
+            }
+        }
+        if conn.unsent() {
+            events |= POLLOUT;
+        }
+        fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+    }
+    match sys::wait(fds, wait) {
+        Ok(_) => {
+            if fds[0].ready() {
+                waker.clear();
+            }
+            for (conn, fd) in conns.iter_mut().zip(&fds[1..]) {
+                conn.ready = fd.ready();
+            }
+        }
+        // A signal: just start the next sweep.
+        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+        Err(e) => {
+            // Without readiness information, visit every connection.
+            obs::mark("serve", "shard_poll_failed", &e.to_string());
+            for conn in conns.iter_mut() {
+                conn.ready = true;
+            }
+        }
+    }
+}
+
 /// The shard thread body: own every connection handed over `rx` until
-/// shutdown, multiplexing them through one poll loop.
+/// shutdown, multiplexing them through one readiness-driven loop.
 pub(crate) fn run_shard(
     shared: &Arc<Shared>,
     index: usize,
@@ -308,15 +446,15 @@ pub(crate) fn run_shard(
 ) {
     let _shard_span = obs::span("serve_shard");
     let timeout = shared.config.read_timeout;
+    let waker = &shared.wakers[index];
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         let shutting_down = shared.shutting_down.load(Ordering::SeqCst);
-        let mut progress = false;
 
         // Adopt newly accepted sockets. The accept loop already counted
         // them in active_conns; refusals must un-count.
         while let Ok(stream) = rx.try_recv() {
-            progress = true;
             if shutting_down {
                 shared.active_conns.fetch_sub(1, Ordering::SeqCst);
                 continue;
@@ -329,67 +467,19 @@ pub(crate) fn run_shard(
             }
         }
 
-        // Sweep every connection: flush, read, answer, flush again.
+        // Visit the connections that need it: ready, unsent output, or
+        // past their deadline. The rest cost one comparison.
+        let now = Instant::now();
         let mut i = 0;
         while i < conns.len() {
-            let mut dead = false;
-            {
-                let conn = &mut conns[i];
-                match flush_writes(conn) {
-                    None => dead = true,
-                    Some(n) if n > 0 => {
-                        progress = true;
-                        conn.last_progress = Instant::now();
-                    }
-                    Some(_) => {}
-                }
-                if !dead && !conn.closing {
-                    match drain_reads(conn) {
-                        None => dead = true,
-                        Some(n) if n > 0 => {
-                            progress = true;
-                            conn.last_progress = Instant::now();
-                        }
-                        Some(_) => {}
-                    }
-                    if !dead {
-                        service_frames(shared, index, addr, conn);
-                        if conn.peer_eof && !conn.closing {
-                            // Half-closed peers may still want queued
-                            // responses; close once they are out.
-                            conn.closing = true;
-                        }
-                        match flush_writes(conn) {
-                            None => dead = true,
-                            Some(n) if n > 0 => {
-                                progress = true;
-                                conn.last_progress = Instant::now();
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                }
-                if !dead && conn.closing && conn.sent >= conn.outbuf.len() {
-                    dead = true;
-                }
-                if !dead && !conn.closing && conn.last_progress.elapsed() > timeout {
-                    // The slow-loris guard: a stalled connection is told
-                    // off and closed; the shard's other connections are
-                    // untouched.
-                    shared.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
-                    obs::counter("serve", "read_timeout", 1);
-                    conn.push_response(&Response::ProtocolError {
-                        error: "read timed out".into(),
-                    });
-                    conn.closing = true;
-                    let _best_effort = flush_writes(conn);
-                    dead = true;
-                }
-            }
-            if dead {
+            let conn = &mut conns[i];
+            let due = conn.ready
+                || conn.unsent()
+                || (!conn.closing && now.saturating_duration_since(conn.last_progress) > timeout);
+            conn.ready = false;
+            if due && !service_conn(shared, index, addr, conn, timeout) {
                 conns.swap_remove(i);
                 shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-                progress = true;
             } else {
                 i += 1;
             }
@@ -412,8 +502,6 @@ pub(crate) fn run_shard(
             }
             return;
         }
-        if !progress {
-            std::thread::sleep(IDLE_SLEEP);
-        }
+        wait_for_events(waker, &mut conns, &mut fds, timeout);
     }
 }

@@ -9,6 +9,7 @@ use fsmgen_suite::bpred::{
 };
 use fsmgen_suite::core::Designer;
 use fsmgen_suite::experiments::fig2::{best_coverage_at_accuracy, run_panel, Fig2Config};
+use fsmgen_suite::experiments::fig4::{self, Fig4Config};
 use fsmgen_suite::vpred::{
     per_entry_correctness_model, run_confidence, FsmConfidence, RecoveryModel, TwoDeltaStride,
 };
@@ -206,5 +207,65 @@ fn recovery_model_shapes_the_operating_point() {
         "re-exec: liberal {} vs conservative {}",
         reexec.net_cycles(&liberal),
         reexec.net_cycles(&conservative)
+    );
+}
+
+/// Figure 4 on the quick population: `(states, area, fitted area)` per
+/// sample.
+fn fig4_quick() -> Vec<(usize, f64, f64)> {
+    let result = fig4::run(&Fig4Config::quick());
+    let model = result.model();
+    result
+        .samples
+        .iter()
+        .map(|s| (s.states, s.area, model.estimate(s.states)))
+        .collect()
+}
+
+#[test]
+fn fig4_area_is_close_to_linear_in_states() {
+    let points = fig4_quick();
+    assert!(points.len() >= 20, "only {} samples", points.len());
+    // Band: within 10% of the largest sampled area of the fitted line.
+    let band = 0.10 * points.iter().map(|p| p.1).fold(0.0, f64::max);
+    let inside = points
+        .iter()
+        .filter(|(_, area, fit)| (area - fit).abs() <= band)
+        .count();
+    let share = inside as f64 / points.len() as f64;
+    assert!(
+        share >= 0.8,
+        "only {inside} of {} samples lie within {band:.1} of the line",
+        points.len()
+    );
+    // And the line explains most of the variance.
+    let mean = points.iter().map(|p| p.1).sum::<f64>() / points.len() as f64;
+    let residual: f64 = points.iter().map(|(_, a, f)| (a - f).powi(2)).sum();
+    let total: f64 = points.iter().map(|(_, a, _)| (a - mean).powi(2)).sum();
+    let r2 = 1.0 - residual / total;
+    assert!(r2 >= 0.8, "R^2 of the linear fit is {r2:.3}");
+}
+
+#[test]
+fn fig4_some_large_machines_sit_well_below_the_line() {
+    let points = fig4_quick();
+    // The sample furthest below the line, in area...
+    let (states, area, fit) = points
+        .iter()
+        .copied()
+        .min_by(|a, b| (a.1 - a.2).total_cmp(&(b.1 - b.2)))
+        .expect("samples");
+    // ...is one of the largest quarter of machines by state count...
+    let mut sizes: Vec<usize> = points.iter().map(|p| p.0).collect();
+    sizes.sort_unstable_by(|a, b| b.cmp(a));
+    let top_quarter = sizes[sizes.len() / 4];
+    assert!(
+        states >= top_quarter,
+        "furthest below the line is a {states}-state machine; the largest quarter starts at {top_quarter}"
+    );
+    // ...and costs well under what the line predicts for its size.
+    assert!(
+        area < 0.6 * fit,
+        "{states}-state machine: area {area:.1} against {fit:.1} on the line"
     );
 }
