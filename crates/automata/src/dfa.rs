@@ -4,7 +4,7 @@
 
 use crate::budget::{AutomataBudget, AutomataError};
 use crate::nfa::Nfa;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// A complete deterministic finite automaton over the binary alphabet.
 ///
@@ -248,106 +248,141 @@ impl Dfa {
     ///
     /// Returns [`AutomataError::DeadlineExpired`] when the deadline passes
     /// mid-refinement.
-    // expect() is fine here: a DFA always has at least one state, so the
-    // initial partition always has at least one block.
-    #[allow(clippy::expect_used)]
     pub fn minimized_checked(&self, budget: &AutomataBudget) -> Result<Dfa, AutomataError> {
         let trimmed = self.trimmed();
         let n = trimmed.num_states();
 
-        // Precompute reverse transitions.
-        let mut reverse: Vec<[Vec<u32>; 2]> = vec![[Vec::new(), Vec::new()]; n];
+        // Predecessor lists per bit in CSR form: the states with a
+        // `bit`-transition into `s` are
+        // `preds[bit][pred_at[bit][s]..pred_at[bit][s + 1]]`.
+        let mut pred_at: [Vec<u32>; 2] = [vec![0; n + 1], vec![0; n + 1]];
+        for row in &trimmed.transitions {
+            for bit in 0..2 {
+                pred_at[bit][row[bit] as usize + 1] += 1;
+            }
+        }
+        for at in &mut pred_at {
+            for s in 0..n {
+                at[s + 1] += at[s];
+            }
+        }
+        let mut preds: [Vec<u32>; 2] = [vec![0; n], vec![0; n]];
+        let mut fill: [Vec<u32>; 2] = [pred_at[0][..n].to_vec(), pred_at[1][..n].to_vec()];
         for (s, row) in trimmed.transitions.iter().enumerate() {
             for bit in 0..2 {
-                reverse[row[bit] as usize][bit].push(s as u32);
+                let slot = &mut fill[bit][row[bit] as usize];
+                preds[bit][*slot as usize] = s as u32;
+                *slot += 1;
             }
         }
 
-        // Initial partition: accepting vs non-accepting.
-        let mut block_of: Vec<u32> = trimmed
-            .accept
-            .iter()
-            .map(|&a| if a { 1 } else { 0 })
+        // The partition: `elems` is a permutation of the states grouped by
+        // block, block `b` occupying `elems[first[b]..end[b]]`; `loc[s]` is
+        // the position of `s` in `elems`. While a splitter is processed,
+        // the marked states of block `b` are moved to the front of its
+        // range, `elems[first[b]..first[b] + marked[b]]`. The initial
+        // partition puts the non-accepting states before the accepting ones.
+        let mut elems: Vec<u32> = (0..n as u32)
+            .filter(|&s| !trimmed.accept[s as usize])
             .collect();
-        let mut blocks: Vec<Vec<u32>> = vec![Vec::new(), Vec::new()];
-        for (s, &b) in block_of.iter().enumerate() {
-            blocks[b as usize].push(s as u32);
+        let rejecting = elems.len() as u32;
+        elems.extend((0..n as u32).filter(|&s| trimmed.accept[s as usize]));
+        let mut loc: Vec<u32> = vec![0; n];
+        for (i, &s) in elems.iter().enumerate() {
+            loc[s as usize] = i as u32;
         }
-        // Drop an empty initial block.
-        if blocks[1].is_empty() {
-            blocks.pop();
-        } else if blocks[0].is_empty() {
-            blocks.swap_remove(0);
-            block_of.fill(0);
+        let (mut first, mut end, mut block_of): (Vec<u32>, Vec<u32>, Vec<u32>) =
+            if rejecting == 0 || rejecting == n as u32 {
+                (vec![0], vec![n as u32], vec![0; n])
+            } else {
+                let block_of = trimmed.accept.iter().map(|&a| u32::from(a)).collect();
+                (vec![0, rejecting], vec![rejecting, n as u32], block_of)
+            };
+        let mut marked: Vec<u32> = vec![0; first.len()];
+
+        // With two initial blocks, refining against the smaller one on both
+        // bits suffices (classic Hopcroft). A single block splits nothing.
+        let mut worklist: Vec<(u32, usize)> = Vec::new();
+        if first.len() == 2 {
+            let smaller = u32::from(end[1] - first[1] < end[0] - first[0]);
+            worklist.extend([(smaller, 0), (smaller, 1)]);
         }
 
-        let mut worklist: VecDeque<(u32, usize)> = VecDeque::new();
-        for bit in 0..2 {
-            // Put the smaller block on the worklist (classic Hopcroft).
-            let smaller = (0..blocks.len() as u32)
-                .min_by_key(|&b| blocks[b as usize].len())
-                .expect("at least one block");
-            worklist.push_back((smaller, bit));
-        }
-
-        while let Some((splitter, bit)) = worklist.pop_front() {
+        let mut splitter_states: Vec<u32> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
+        while let Some((splitter, bit)) = worklist.pop() {
             budget.check_deadline("hopcroft refinement")?;
-            // X = states with a transition on `bit` into the splitter block.
-            let mut x: BTreeSet<u32> = BTreeSet::new();
-            for &s in &blocks[splitter as usize] {
-                for &p in &reverse[s as usize][bit] {
-                    x.insert(p);
+            // Mark every state with a `bit`-transition into the splitter.
+            // The splitter's members are copied out first, since marking
+            // reorders the range of any block it touches.
+            splitter_states.clear();
+            splitter_states.extend_from_slice(
+                &elems[first[splitter as usize] as usize..end[splitter as usize] as usize],
+            );
+            for &s in &splitter_states {
+                let (lo, hi) = (pred_at[bit][s as usize], pred_at[bit][s as usize + 1]);
+                for &p in &preds[bit][lo as usize..hi as usize] {
+                    let b = block_of[p as usize] as usize;
+                    let boundary = first[b] + marked[b];
+                    let at = loc[p as usize];
+                    if at < boundary {
+                        continue; // already marked
+                    }
+                    if marked[b] == 0 {
+                        touched.push(b as u32);
+                    }
+                    let other = elems[boundary as usize];
+                    elems.swap(at as usize, boundary as usize);
+                    loc[other as usize] = at;
+                    loc[p as usize] = boundary;
+                    marked[b] += 1;
                 }
             }
-            if x.is_empty() {
-                continue;
-            }
-            // Split every block crossed by X.
-            let affected: BTreeSet<u32> = x.iter().map(|&s| block_of[s as usize]).collect();
-            for b in affected {
-                let block = &blocks[b as usize];
-                let (inside, outside): (Vec<u32>, Vec<u32>) =
-                    block.iter().partition(|s| x.contains(s));
-                if inside.is_empty() || outside.is_empty() {
+            // Split every block the marking crossed. The smaller half gets
+            // the new id and is queued on both bits: if the old block was
+            // pending it still is (and now names the larger half), and if
+            // it was not, the smaller half is the one Hopcroft adds.
+            for b in touched.drain(..) {
+                let b = b as usize;
+                let (lo, hi, m) = (first[b], end[b], marked[b]);
+                marked[b] = 0;
+                if m == hi - lo {
                     continue;
                 }
-                // Replace block b with `inside`; create a new block with
-                // `outside`.
-                let new_id = blocks.len() as u32;
-                for &s in &outside {
+                let new_id = first.len() as u32;
+                let (new_lo, new_hi) = if m <= hi - lo - m {
+                    first[b] = lo + m;
+                    (lo, lo + m)
+                } else {
+                    end[b] = lo + m;
+                    (lo + m, hi)
+                };
+                for &s in &elems[new_lo as usize..new_hi as usize] {
                     block_of[s as usize] = new_id;
                 }
-                blocks[b as usize] = inside;
-                blocks.push(outside);
-                for wbit in 0..2 {
-                    // Standard refinement bookkeeping: if b was pending,
-                    // both halves are now pending; otherwise add the
-                    // smaller half.
-                    if worklist.contains(&(b, wbit)) {
-                        worklist.push_back((new_id, wbit));
-                    } else if blocks[b as usize].len() <= blocks[new_id as usize].len() {
-                        worklist.push_back((b, wbit));
-                    } else {
-                        worklist.push_back((new_id, wbit));
-                    }
-                }
+                first.push(new_lo);
+                end.push(new_hi);
+                marked.push(0);
+                worklist.extend([(new_id, 0), (new_id, 1)]);
             }
         }
 
         // Build the quotient automaton, renumbered in BFS order from the
         // start block for canonical output.
         let quotient_start = block_of[trimmed.start as usize];
-        let num_blocks = blocks.len();
-        let mut q_trans: Vec<[u32; 2]> = vec![[0; 2]; num_blocks];
-        let mut q_accept: Vec<bool> = vec![false; num_blocks];
-        for (b, members) in blocks.iter().enumerate() {
-            let rep = members[0];
-            q_trans[b] = [
-                block_of[trimmed.step(rep, false) as usize],
-                block_of[trimmed.step(rep, true) as usize],
-            ];
-            q_accept[b] = trimmed.accept[rep as usize];
-        }
+        let (q_trans, q_accept): (Vec<[u32; 2]>, Vec<bool>) = first
+            .iter()
+            .map(|&at| {
+                let rep = elems[at as usize];
+                (
+                    [
+                        block_of[trimmed.step(rep, false) as usize],
+                        block_of[trimmed.step(rep, true) as usize],
+                    ],
+                    trimmed.accept[rep as usize],
+                )
+            })
+            .unzip();
         let minimized = Dfa {
             transitions: q_trans,
             accept: q_accept,
@@ -399,47 +434,54 @@ impl Dfa {
         budget: &AutomataBudget,
     ) -> Result<Dfa, AutomataError> {
         let trimmed = self.trimmed();
-        let mut seen: BTreeMap<BTreeSet<u32>, usize> = BTreeMap::new();
-        let mut sequence: Vec<BTreeSet<u32>> = Vec::new();
-        let mut current: BTreeSet<u32> = BTreeSet::from([trimmed.start]);
+        // Each reachable set Sₖ is a bitset over the trimmed states.
+        let words = trimmed.num_states().div_ceil(64);
+        // `seen` maps each set of the sequence to its step.
+        let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut current: Vec<u64> = vec![0; words];
+        current[trimmed.start as usize / 64] |= 1 << (trimmed.start % 64);
         let cycle_start = loop {
             if let Some(&at) = seen.get(&current) {
                 break at;
             }
             budget.check_deadline("steady-state iteration")?;
             if let Some(limit) = budget.max_dfa_states {
-                if sequence.len() + 1 > limit {
+                if seen.len() + 1 > limit {
                     return Err(AutomataError::DfaStates {
-                        generated: sequence.len() + 1,
+                        generated: seen.len() + 1,
                         limit,
                     });
                 }
             }
-            seen.insert(current.clone(), sequence.len());
-            sequence.push(current.clone());
-            let mut next = BTreeSet::new();
-            for &s in &current {
-                next.insert(trimmed.step(s, false));
-                next.insert(trimmed.step(s, true));
+            let mut next = vec![0u64; words];
+            for s in bit_members(&current) {
+                for t in trimmed.transitions[s as usize] {
+                    next[t as usize / 64] |= 1 << (t % 64);
+                }
             }
-            current = next;
+            let step = seen.len();
+            seen.insert(std::mem::replace(&mut current, next), step);
         };
-        let mut core: BTreeSet<u32> = BTreeSet::new();
-        for set in &sequence[cycle_start..] {
-            core.extend(set.iter().copied());
+        let mut core: Vec<u64> = vec![0; words];
+        for (set, _) in seen.iter().filter(|&(_, &at)| at >= cycle_start) {
+            for (c, w) in core.iter_mut().zip(set) {
+                *c |= w;
+            }
         }
-        debug_assert!(!core.is_empty());
+        debug_assert!(core.iter().any(|&w| w != 0));
 
         // Renumber: keep only core states, start at the lowest-numbered one.
-        let order: Vec<u32> = core.iter().copied().collect();
-        let map: BTreeMap<u32, u32> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
+        let order: Vec<u32> = bit_members(&core).collect();
+        let mut map: Vec<u32> = vec![0; trimmed.num_states()];
+        for (i, &s) in order.iter().enumerate() {
+            map[s as usize] = i as u32;
+        }
         let transitions: Vec<[u32; 2]> = order
             .iter()
-            .map(|&s| [map[&trimmed.step(s, false)], map[&trimmed.step(s, true)]])
+            .map(|&s| {
+                let [t0, t1] = trimmed.transitions[s as usize];
+                [map[t0 as usize], map[t1 as usize]]
+            })
             .collect();
         let accept: Vec<bool> = order.iter().map(|&s| trimmed.accept[s as usize]).collect();
         fsmgen_obs::counter("reduce", "steady_states", transitions.len() as u64);
@@ -500,6 +542,20 @@ impl Dfa {
         out.push_str("}\n");
         out
     }
+}
+
+/// The members of a bitset held as 64-bit words, in ascending order.
+fn bit_members(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                (i * 64) as u32 + bit
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -650,6 +706,29 @@ mod tests {
         for s in 0..fsm.num_states() {
             assert!(dot.contains(&format!("s{s} [shape=circle")));
         }
+    }
+
+    #[test]
+    fn steady_state_sequence_length_is_budgeted() {
+        // Both bits rotate 0 → 1 → … → 6 → 0, so the reachable-set sequence
+        // {0}, {1}, …, {6} has 7 distinct sets before it repeats.
+        let rows = (0..7u32).map(|s| [(s + 1) % 7, (s + 1) % 7]).collect();
+        let dfa = Dfa::from_parts(rows, vec![false; 7], 0);
+        let budget = |limit| AutomataBudget {
+            max_dfa_states: Some(limit),
+            ..AutomataBudget::unlimited()
+        };
+        for limit in [1, 3, 6] {
+            assert_eq!(
+                dfa.steady_state_reduced_checked(&budget(limit)),
+                Err(AutomataError::DfaStates {
+                    generated: limit + 1,
+                    limit
+                })
+            );
+        }
+        let reduced = dfa.steady_state_reduced_checked(&budget(7)).unwrap();
+        assert_eq!(reduced.num_states(), 7);
     }
 
     #[test]

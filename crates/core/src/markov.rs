@@ -7,7 +7,7 @@
 //! possible histories, the Markov Models can be compressed down
 //! significantly by only storing non-zero entries" (§7.3).
 
-use fsmgen_traces::{BitTrace, HistoryRegister};
+use fsmgen_traces::BitTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -107,13 +107,26 @@ impl MarkovModel {
             });
         }
         let mut model = MarkovModel::new(order);
-        let mut history = HistoryRegister::new(order);
-        for bit in trace {
-            if history.is_full() {
-                model.observe(history.value(), bit);
-            }
-            history.push(bit);
+        // Count into a dense 2^order table (1 MiB at MAX_ORDER), then move
+        // the observed rows into the sparse table in ascending order, which
+        // `BTreeMap` bulk-builds in linear time.
+        let mask = (1u32 << order) - 1;
+        let mut dense: Vec<[u64; 2]> = vec![[0; 2]; 1 << order];
+        let mut bits = trace.iter();
+        let mut history = bits
+            .by_ref()
+            .take(order)
+            .fold(0u32, |h, bit| h << 1 | u32::from(bit));
+        for bit in bits {
+            dense[history as usize][usize::from(bit)] += 1;
+            history = (history << 1 | u32::from(bit)) & mask;
         }
+        model.table = dense
+            .iter()
+            .enumerate()
+            .filter(|(_, &[zeros, ones])| zeros + ones > 0)
+            .map(|(h, &[zeros, ones])| (h as u32, HistoryCounts { zeros, ones }))
+            .collect();
         Ok(model)
     }
 

@@ -475,13 +475,30 @@ fn select_cover(primes: &[Cube], on: &BTreeSet<u32>, budget: &MinimizeBudget) ->
                     .collect::<Vec<u64>>()
             })
             .collect();
+        // A prime containing `a`'s remaining coverage must cover its lowest
+        // remaining minterm, so `a` only scans the (ascending) list of
+        // active positions covering that minterm.
+        let mut covering: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (a, cov) in rem_cov.iter().enumerate() {
+            for (w, &bits) in cov.iter().enumerate() {
+                let mut rest = bits;
+                while rest != 0 {
+                    covering[w * 64 + rest.trailing_zeros() as usize].push(a);
+                    rest &= rest - 1;
+                }
+            }
+        }
         let mut keep = vec![true; active.len()];
         for a in 0..active.len() {
-            if !keep[a] || rem_cov[a].iter().all(|&w| w == 0) {
-                keep[a] = rem_cov[a].iter().any(|&w| w != 0);
+            let lowest = rem_cov[a]
+                .iter()
+                .position(|&w| w != 0)
+                .map(|w| w * 64 + rem_cov[a][w].trailing_zeros() as usize);
+            let Some(lowest) = lowest else {
+                keep[a] = false;
                 continue;
-            }
-            for b in 0..active.len() {
+            };
+            for &b in &covering[lowest] {
                 if a == b || !keep[b] {
                     continue;
                 }
